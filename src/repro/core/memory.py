@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Iterable
+from typing import Collection
 
 from repro.core.block import Block
 from repro.core.model import ModelParams, PagingModel
@@ -34,13 +34,7 @@ class Memory(abc.ABC):
 
     def __init__(self, params: ModelParams) -> None:
         self._params = params
-        # Resident-copy multiplicities. Plain dict, never Counter: the
-        # engine probes coverage every path step, and Counter's
-        # Python-level __missing__/__delitem__ hooks tax exactly that
-        # probe. Invariant: present keys always map to counts >= 1.
-        self._counts: dict[Vertex, int] = {}
         self._occupancy = 0
-        self._covered = 0
 
     @property
     def params(self) -> ModelParams:
@@ -55,24 +49,24 @@ class Memory(abc.ABC):
         """Resident vertex copies (never exceeds ``capacity``)."""
         return self._occupancy
 
+    @abc.abstractmethod
     def covers(self, vertex: Vertex) -> bool:
         """Whether at least one copy of ``vertex`` is resident."""
-        return vertex in self._counts
 
+    @abc.abstractmethod
     def copies_of(self, vertex: Vertex) -> int:
-        return self._counts.get(vertex, 0)
+        """Number of resident copies of ``vertex``."""
 
+    @abc.abstractmethod
     def covered_vertices(self) -> set[Vertex]:
         """The set of distinct vertices currently covered."""
-        return set(self._counts)
 
     @property
+    @abc.abstractmethod
     def covered_count(self) -> int:
-        """Number of distinct covered vertices, maintained
-        incrementally — O(1), unlike materializing
-        :meth:`covered_vertices` (which adversaries query every
-        move)."""
-        return self._covered
+        """Number of distinct covered vertices, O(1) — unlike
+        materializing :meth:`covered_vertices` (which adversaries query
+        every move)."""
 
     def room_for(self, size: int) -> bool:
         return self._occupancy + size <= self.capacity
@@ -97,32 +91,6 @@ class Memory(abc.ABC):
             return True
         return False
 
-    def _add_copies(self, vertices: Iterable[Vertex]) -> None:
-        counts = self._counts
-        covered = self._covered
-        for v in vertices:
-            n = counts.get(v)
-            if n is None:
-                counts[v] = 1
-                covered += 1
-            else:
-                counts[v] = n + 1
-        self._covered = covered
-        self._occupancy += len(vertices)
-
-    def _remove_copies(self, vertices: Iterable[Vertex]) -> None:
-        counts = self._counts
-        covered = self._covered
-        for v in vertices:
-            n = counts[v]
-            if n == 1:
-                del counts[v]
-                covered -= 1
-            else:
-                counts[v] = n - 1
-        self._covered = covered
-        self._occupancy -= len(vertices)
-
 
 class WeakMemory(Memory):
     """Block-granular memory (the paper's weak model)."""
@@ -136,12 +104,28 @@ class WeakMemory(Memory):
         # no sort is ever needed to find an eviction victim.
         self._recency: dict[BlockId, int] = {}
         self._clock = 0
-        # vertex -> resident block ids containing it, for touch()/visit().
-        # Inner dicts (value None) double as insertion-ordered sets, so
-        # tick order over a vertex's holders is load order — stable
-        # across processes, unlike set iteration, whose hash order made
-        # multi-holder traces depend on PYTHONHASHSEED.
+        # vertex -> resident block ids containing it: the one coverage
+        # index. A block holds each vertex at most once (its vertices
+        # are a frozenset), so len(_where[v]) is v's copy count and a
+        # vertex is covered iff it is a key. Inner dicts (value None)
+        # double as insertion-ordered sets, so tick order over a
+        # vertex's holders is load order — stable across processes,
+        # unlike set iteration, whose hash order made multi-holder
+        # traces depend on PYTHONHASHSEED.
         self._where: dict[Vertex, dict[BlockId, None]] = {}
+
+    def covers(self, vertex: Vertex) -> bool:
+        return vertex in self._where
+
+    def copies_of(self, vertex: Vertex) -> int:
+        return len(self._where.get(vertex, ()))
+
+    def covered_vertices(self) -> set[Vertex]:
+        return set(self._where)
+
+    @property
+    def covered_count(self) -> int:
+        return len(self._where)
 
     def resident_blocks(self) -> tuple[BlockId, ...]:
         return tuple(self._resident)
@@ -158,11 +142,17 @@ class WeakMemory(Memory):
                 f"loading block {block.block_id!r} ({len(block)} copies) would "
                 f"exceed M={self.capacity} (occupancy {self.occupancy})"
             )
-        self._resident[block.block_id] = block
-        self._add_copies(block.vertices)
+        block_id = block.block_id
+        self._resident[block_id] = block
+        self._occupancy += len(block)
+        where = self._where
         for v in block.vertices:
-            self._where.setdefault(v, {})[block.block_id] = None
-        self._tick(block.block_id)
+            holders = where.get(v)
+            if holders is None:
+                where[v] = {block_id: None}
+            else:
+                holders[block_id] = None
+        self._tick(block_id)
 
     def evict_block(self, block_id: BlockId) -> None:
         """Flush one whole resident block (the weak model's only move)."""
@@ -170,12 +160,13 @@ class WeakMemory(Memory):
         if block is None:
             raise PagingError(f"block {block_id!r} is not resident")
         self._recency.pop(block_id, None)
-        self._remove_copies(block.vertices)
+        self._occupancy -= len(block)
+        where = self._where
         for v in block.vertices:
-            holders = self._where[v]
-            holders.pop(block_id, None)
+            holders = where[v]
+            del holders[block_id]
             if not holders:
-                del self._where[v]
+                del where[v]
 
     def covering_blocks(self, vertex: Vertex) -> tuple[BlockId, ...]:
         """Ids of the resident blocks holding a copy of ``vertex``.
@@ -260,6 +251,26 @@ class StrongMemory(Memory):
     def __init__(self, params: ModelParams) -> None:
         super().__init__(params)
         self._copies: deque[tuple[BlockId, Vertex]] = deque()
+        # Resident-copy multiplicities: unlike the weak model, a copy
+        # can leave without its block, so counts are kept per vertex.
+        # Plain dict, never Counter: Counter's Python-level
+        # __missing__/__delitem__ hooks tax the per-step coverage
+        # probe. Invariant: present keys always map to counts >= 1.
+        self._counts: dict[Vertex, int] = {}
+        self._covered = 0
+
+    def covers(self, vertex: Vertex) -> bool:
+        return vertex in self._counts
+
+    def copies_of(self, vertex: Vertex) -> int:
+        return self._counts.get(vertex, 0)
+
+    def covered_vertices(self) -> set[Vertex]:
+        return set(self._counts)
+
+    @property
+    def covered_count(self) -> int:
+        return self._covered
 
     def load(self, block: Block) -> None:
         if not self.room_for(len(block)):
@@ -289,6 +300,32 @@ class StrongMemory(Memory):
     def touch(self, vertex: Vertex) -> None:
         # Copy-level recency is not tracked; eviction is arrival-ordered.
         pass
+
+    def _add_copies(self, vertices: Collection[Vertex]) -> None:
+        counts = self._counts
+        covered = self._covered
+        for v in vertices:
+            n = counts.get(v)
+            if n is None:
+                counts[v] = 1
+                covered += 1
+            else:
+                counts[v] = n + 1
+        self._covered = covered
+        self._occupancy += len(vertices)
+
+    def _remove_copies(self, vertices: Collection[Vertex]) -> None:
+        counts = self._counts
+        covered = self._covered
+        for v in vertices:
+            n = counts[v]
+            if n == 1:
+                del counts[v]
+                covered -= 1
+            else:
+                counts[v] = n - 1
+        self._covered = covered
+        self._occupancy -= len(vertices)
 
     def visit(self, vertex: Vertex) -> bool:
         # touch() is a no-op here, so a visit is just the coverage test.

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments            # full sweep (a few minutes)
     python -m repro.experiments --quick    # shortened traces (~1 minute)
-    python -m repro.experiments --jobs 4   # cells sharded over 4 processes
+    python -m repro.experiments --jobs 4   # cells run in 4 worker processes
     python -m repro.experiments --quick --fault-rate 0.05
                                            # same sweep on an unreliable disk
     python -m repro.experiments --quick --trace-out trace.jsonl --metrics
@@ -32,9 +32,10 @@ Observability flags (see ``repro.obs``):
 * ``--trace-out PATH`` records every engine event (faults, block
   reads, retries, fallbacks, evictions) to a JSONL file that
   ``python -m repro.obs.replay`` can reconstruct and verify. Serial
-  runs stream it live; with ``--jobs`` or ``--campaign`` each worker
-  spools a per-cell shard and the parent merges them into one
-  deterministic trace (byte-identical across re-runs and job counts).
+  runs stream it live; with ``--jobs N`` (N > 1) or ``--campaign``
+  each worker spools a per-cell shard and the parent merges them into
+  one deterministic trace (byte-identical across re-runs and job
+  counts).
 * ``--forensics`` analyzes the recorded trace after the sweep
   (``python -m repro.obs.forensics`` inline): per-run stack-distance
   miss-ratio curves, a compulsory/capacity/policy fault taxonomy, the
@@ -48,9 +49,12 @@ Observability flags (see ``repro.obs``):
 
 Performance flags:
 
-* ``--jobs N`` shards the sweep's cells over ``N`` worker processes
-  (results are bit-identical to serial; ``--profile`` stays
-  per-process and is the one observability flag it excludes).
+* ``--jobs N`` runs the sweep's cells in ``N`` worker processes. Without
+  ``--campaign`` this is a campaign (below) over a throwaway manifest
+  in a temporary directory, removed when the sweep ends. Results are
+  bit-identical to serial; progress lines arrive in completion order,
+  a crashed worker is retried, and ``--profile`` (per-process) is the
+  one observability flag it excludes.
 * ``--no-cache`` disables the construction cache (every graph,
   blocking, and radius is rebuilt from scratch).
 * ``--cache-dir PATH`` persists cached constructions to disk so
@@ -75,7 +79,8 @@ Campaign flags (see ``repro.experiments.campaign``):
   byte-identical to an uninterrupted serial run. Sweep shape flags
   (``--quick``, ``--fault-rate``, ``--fault-seed``, ``--cells``) are
   restored from the manifest header.
-* ``--cells A,B,...`` restricts the sweep to named cells.
+* ``--cells A,B,...`` restricts the sweep to named cells (in-process
+  too, without ``--jobs``/``--campaign``).
 * ``--cell-timeout S`` arms a per-attempt wall-clock watchdog.
 * ``--max-attempts N`` caps attempts per cell (default 3).
 * ``--chaos-kill-every N`` / ``--chaos-corrupt-every N`` /
@@ -170,8 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run sweep cells in N worker processes (default 1 = serial; "
-        "results are identical either way)",
+        help="run sweep cells in N supervised worker processes (default "
+        "1 = in-process; results are identical either way)",
     )
     parser.add_argument(
         "--no-cache",
@@ -275,8 +280,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--jobs > 1 cannot be combined with --profile: the profiler "
                 "is ambient per process (run it serially or drop --jobs)"
             )
-        if args.cells and args.profile:
-            parser.error("--cells is not supported with --profile")
     if args.forensics and not args.trace_out:
         parser.error("--forensics needs the recorded trace; add --trace-out PATH")
     if args.no_cache and args.cache_dir:
@@ -334,11 +337,13 @@ def main(argv: list[str] | None = None) -> int:
     profiler = None
     progress = None
     ambient = contextlib.nullcontext()
-    # The telemetry plane (worker shards merged by the parent) carries
-    # --trace-out for campaigns and multi-process pools; a live ambient
-    # sink serves the single-process paths. Metrics always aggregate
-    # into one ambient registry — worker registries merge into it.
-    spooled_trace = bool(args.trace_out) and bool(campaign_path or args.jobs > 1)
+    # Two executors: run_all in-process, run_campaign for everything
+    # multi-process. The telemetry plane (worker shards merged by the
+    # parent) carries --trace-out for the campaign; a live ambient sink
+    # serves the in-process path. Metrics always aggregate into one
+    # ambient registry — worker registries merge into it.
+    multiprocess = bool(campaign_path) or args.jobs > 1
+    spooled_trace = bool(args.trace_out) and multiprocess
     if args.trace_out or args.metrics or args.metrics_out:
         from repro.obs import (
             Instrumentation,
@@ -368,7 +373,11 @@ def main(argv: list[str] | None = None) -> int:
         progress = SweepProgress()
 
     with ambient:
-        if campaign_path:
+        if multiprocess:
+            import shutil
+            import tempfile
+            from pathlib import Path
+
             from repro.experiments.campaign import run_campaign
             from repro.experiments.chaos import ChaosConfig
 
@@ -381,42 +390,39 @@ def main(argv: list[str] | None = None) -> int:
                     delay_every=1 if args.chaos_delay else 0,
                     delay_seconds=args.chaos_delay,
                 )
-            games, checks = run_campaign(
-                campaign_path,
-                quick=args.quick,
-                jobs=args.jobs,
-                reliability=reliability,
-                names=cells,
-                resume=bool(args.resume),
-                max_attempts=args.max_attempts if args.max_attempts else 3,
-                cell_timeout=args.cell_timeout,
-                chaos=chaos,
-                progress=progress,
-                meta={
-                    "quick": args.quick,
-                    "fault_rate": args.fault_rate,
-                    "fault_seed": args.fault_seed,
-                    "cells": cells,
-                },
-                trace_out=args.trace_out if spooled_trace else None,
-            )
-        elif args.jobs > 1 or cells is not None:
-            from repro.experiments.parallel import run_all_parallel
-
-            games, checks = run_all_parallel(
-                quick=args.quick,
-                jobs=args.jobs,
-                reliability=reliability,
-                progress=progress,
-                names=cells,
-                trace_out=args.trace_out if spooled_trace else None,
-            )
+            # `--jobs N` without a manifest is a campaign whose journal
+            # and cell workdir live in a directory removed afterwards.
+            scratch = None if campaign_path else tempfile.mkdtemp(prefix="repro-jobs-")
+            try:
+                games, checks = run_campaign(
+                    campaign_path or Path(scratch) / "sweep.jsonl",
+                    quick=args.quick,
+                    jobs=args.jobs,
+                    reliability=reliability,
+                    names=cells,
+                    resume=bool(args.resume),
+                    max_attempts=args.max_attempts if args.max_attempts else 3,
+                    cell_timeout=args.cell_timeout,
+                    chaos=chaos,
+                    progress=progress,
+                    meta={
+                        "quick": args.quick,
+                        "fault_rate": args.fault_rate,
+                        "fault_seed": args.fault_seed,
+                        "cells": cells,
+                    },
+                    trace_out=args.trace_out if spooled_trace else None,
+                )
+            finally:
+                if scratch is not None:
+                    shutil.rmtree(scratch, ignore_errors=True)
         else:
             games, checks = run_all(
                 quick=args.quick,
                 reliability=reliability,
                 profiler=profiler,
                 progress=progress,
+                names=cells,
             )
     if instr is not None:
         instr.close()

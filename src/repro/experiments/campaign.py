@@ -1,9 +1,12 @@
 """The crash-safe campaign runner: supervised, journaled, resumable sweeps.
 
 :func:`run_campaign` executes the same
-:class:`~repro.experiments.table1.CellSpec` list as ``run_all`` /
-``run_all_parallel``, but treats every cell as a *supervised job*
-rather than a pool task:
+:class:`~repro.experiments.table1.CellSpec` list as ``run_all``, but
+treats every cell as a *supervised job* in a worker process. It is the
+sweep's only multi-process executor: the CLI's ``--jobs N`` without
+``--campaign`` runs it over a throwaway manifest in a temporary
+directory, so ``run_all`` (in-process) and this runner are the two
+ways a sweep executes.
 
 * each cell attempt runs in its own forked worker process, which
   commits its results to a crash-atomic pickle spill (tempfile +
@@ -49,6 +52,7 @@ retries and degraded.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import time
@@ -68,7 +72,6 @@ from repro.experiments.manifest import (
     load_manifest,
     sweep_digest,
 )
-from repro.experiments.parallel import _pool_context
 from repro.experiments.table1 import CellSpec, cell_specs, run_cell
 from repro.obs import (
     CampaignResumeEvent,
@@ -86,6 +89,15 @@ from repro.reliability import ExponentialBackoff, ReliabilityConfig, RetryPolicy
 
 class CampaignError(ReproError):
     """A campaign-level failure the runner cannot degrade around."""
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork if available (cheap, inherits caches and the hash seed);
+    otherwise the platform default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
 
 
 # ---------------------------------------------------------------------------

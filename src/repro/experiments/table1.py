@@ -908,7 +908,7 @@ def ballcover_checks(seed: int = 11) -> list[CheckResult]:
 
 # The named cells of the sweep, in report order. Registries of plain
 # module-level functions (not lambdas) keep every cell *picklable*, so
-# the parallel runner (repro.experiments.parallel) can ship the same
+# the campaign runner (repro.experiments.campaign) can ship the same
 # cells to worker processes that run_all executes inline.
 _GAME_CELL_FUNCS: dict[str, Callable[..., list[ExperimentResult]]] = {
     "tree": tree_row,
@@ -964,8 +964,8 @@ def cell_specs(
     reliability: ReliabilityConfig | None = None,
     names: Sequence[str] | None = None,
 ) -> list[CellSpec]:
-    """The sweep's cells in report order (the serial and parallel
-    runners both execute exactly this list).
+    """The sweep's cells in report order (``run_all`` and the campaign
+    runner both execute exactly this list).
 
     ``names`` restricts to a subset of cells, preserving order —
     unknown names raise :class:`ReproError`.
@@ -998,13 +998,13 @@ def cell_specs(
 
 def run_cell(spec: CellSpec) -> list[ExperimentResult] | list[CheckResult]:
     """Execute one cell. This is the single execution path shared by
-    the serial sweep and the parallel runner's workers.
+    the in-process sweep and the campaign runner's workers.
 
     A :class:`ReproError` escaping a *game* cell (e.g. a construction
     that cannot survive the configured fault injection) degrades into a
     single errored :class:`ExperimentResult` instead of killing the
-    sweep — sibling cells are unaffected, and serial and parallel runs
-    degrade identically. Check cells have no error column, so their
+    sweep — sibling cells are unaffected, and in-process and campaign
+    runs degrade identically. Check cells have no error column, so their
     failures propagate in both.
     """
     if spec.kind == "game":
@@ -1032,11 +1032,14 @@ def run_all(
     reliability: ReliabilityConfig | None = None,
     profiler: "PhaseProfiler | None" = None,
     progress: "Callable[[int, int, str], None] | None" = None,
+    names: Sequence[str] | None = None,
 ) -> tuple[list[ExperimentResult], list[CheckResult]]:
-    """Run the whole Table 1 sweep. ``quick`` shrinks the traces for
-    smoke runs (used by tests). ``reliability`` runs every game against
-    the configured unreliable disk; per-run failures become degraded
-    cells (``ExperimentResult.error``) and the sweep still completes.
+    """Run the Table 1 sweep in this process. ``quick`` shrinks the
+    traces for smoke runs (used by tests). ``reliability`` runs every
+    game against the configured unreliable disk; per-run failures
+    become degraded cells (``ExperimentResult.error``) and the sweep
+    still completes. ``names`` restricts the sweep to a subset of
+    cells, as :func:`cell_specs` takes it.
 
     ``profiler`` times each named cell under the phase
     ``table1.<cell>`` (see :class:`repro.obs.PhaseProfiler`).
@@ -1044,10 +1047,11 @@ def run_all(
     every cell — :class:`repro.obs.SweepProgress` prints these with
     elapsed time and an ETA.
 
-    For multi-process execution of the same cells see
-    :func:`repro.experiments.parallel.run_all_parallel`.
+    Running in-process is what lets ``profiler`` and a live ambient
+    trace sink see every cell. For multi-process execution of the same
+    cells see :func:`repro.experiments.campaign.run_campaign`.
     """
-    specs = cell_specs(quick=quick, reliability=reliability)
+    specs = cell_specs(quick=quick, reliability=reliability, names=names)
     total = len(specs)
     games: list[ExperimentResult] = []
     checks: list[CheckResult] = []

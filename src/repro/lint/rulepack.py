@@ -298,7 +298,7 @@ class UnorderedIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL004 — parallel-runner specs are frozen picklable data
+# RL004 — process-boundary specs are frozen picklable data
 # ---------------------------------------------------------------------------
 
 _PICKLABLE_NAMES = frozenset(
@@ -354,8 +354,9 @@ def _dataclass_decoration(node: ast.ClassDef) -> tuple[bool, bool]:
 class PicklableSpecRule(Rule):
     """RL004: process-boundary specs are frozen, picklable dataclasses.
 
-    ``run_all_parallel`` ships :class:`CellSpec`s to forked workers and
-    promises the merged output is byte-identical to a serial run. That
+    ``run_campaign`` (the CLI's ``--jobs``/``--campaign`` executor)
+    ships :class:`CellSpec`s to forked workers and promises the merged
+    output is byte-identical to an in-process ``run_all``. That
     only holds if a spec (a) cannot be mutated after construction and
     (b) consists of data that pickles to the same cell on the far side
     — no lambdas, no open handles, no live graphs. The rule statically

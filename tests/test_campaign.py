@@ -27,7 +27,7 @@ from repro.experiments import (
     corrupt_file,
     dump_results,
     load_manifest,
-    run_all_parallel,
+    run_all,
     run_campaign,
     spec_fingerprint,
 )
@@ -49,7 +49,7 @@ def _dump_bytes(tmp_path, tag, games, checks):
 
 
 def _serial_bytes(tmp_path, names=SUBSET):
-    games, checks = run_all_parallel(quick=True, jobs=1, names=names)
+    games, checks = run_all(quick=True, names=names)
     return _dump_bytes(tmp_path, "serial", games, checks)
 
 
@@ -125,7 +125,7 @@ class TestManifest:
             manifest.verify_specs(cell_specs(quick=False, names=SUBSET))
 
     def test_done_cells_reload_their_results(self, tmp_path):
-        games, checks = run_all_parallel(quick=True, jobs=1, names=["grid1d"])
+        games, checks = run_all(quick=True, names=["grid1d"])
         specs = cell_specs(quick=True, names=["grid1d"])
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter.create(path, specs)
@@ -364,7 +364,7 @@ class TestAtomicDump:
     def test_round_trip(self, tmp_path):
         from repro.experiments import load_results
 
-        games, checks = run_all_parallel(quick=True, jobs=1, names=SUBSET)
+        games, checks = run_all(quick=True, names=SUBSET)
         path = tmp_path / "out.json"
         dump_results(str(path), games, checks)
         games2, checks2 = load_results(str(path))
@@ -377,7 +377,7 @@ class TestAtomicDump:
         from repro.experiments import load_results
 
         path = tmp_path / "out.json"
-        games, checks = run_all_parallel(quick=True, jobs=1, names=["example2"])
+        games, checks = run_all(quick=True, names=["example2"])
         dump_results(str(path), games, checks)
         before = path.read_bytes()
         # A subprocess re-dumps to the same path but SIGKILLs itself at

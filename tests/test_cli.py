@@ -91,6 +91,47 @@ class TestCli:
         assert replay_code == 0
         assert "reconstruct exactly" in replay_buffer.getvalue()
 
+    def test_cells_run_in_process_with_profile(self):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = main(["--quick", "--cells", "grid1d", "--profile"])
+        assert code == 0
+        assert "table1.grid1d" in buffer.getvalue()
+
+    @pytest.mark.slow
+    def test_jobs_without_manifest_leaves_nothing_behind(
+        self, tmp_path, monkeypatch
+    ):
+        """``--jobs N`` without ``--campaign`` is a campaign over a
+        throwaway manifest: its merged trace replays exactly, and
+        neither the manifest nor its ``.cells`` workdir survives."""
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(tmp_path)
+        trace_path = tmp_path / "trace.jsonl"
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = main(
+                ["--quick", "--cells", "grid1d,example2", "--jobs", "2",
+                 "--trace-out", str(trace_path)]
+            )
+        assert code == 0
+        assert list(scratch.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "tmp", "trace.jsonl"
+        ]
+
+        from repro.obs.replay import main as replay_main
+
+        replay_buffer = io.StringIO()
+        with redirect_stdout(replay_buffer):
+            replay_code = replay_main([str(trace_path), "--check"])
+        assert replay_code == 0
+        assert "reconstruct exactly" in replay_buffer.getvalue()
+
     def test_help_mentions_quick(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

@@ -1,6 +1,8 @@
 """Weak and strong memory models (Section 2, item 5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ModelParams, PagingError, PagingModel, StrongMemory, WeakMemory
 from repro.core.block import make_block
@@ -111,6 +113,53 @@ class TestWeakMemory:
         assert mem.lru_block() == "a"
         mem.visit(1)
         assert mem.lru_block() == "b"
+
+
+# A handful of small blocks over ten vertices, so blocks overlap often.
+_block_pools = st.lists(
+    st.frozensets(st.integers(0, 9), min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+)
+# (load?, which block) pairs; indices wrap around the pool.
+_load_evict_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 5)), max_size=60
+)
+
+
+class TestWeakMemoryIndex:
+    """The weak model answers coverage from its one vertex -> holders
+    index; it must agree with the resident blocks themselves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool=_block_pools, ops=_load_evict_ops)
+    def test_index_matches_resident_blocks(self, pool, ops):
+        mem = WeakMemory(ModelParams(4, 12))
+        blocks = [make_block(i, vertices, 4) for i, vertices in enumerate(pool)]
+        for load, pick in ops:
+            blk = blocks[pick % len(blocks)]
+            if load:
+                while not mem.is_resident(blk.block_id) and not mem.room_for(
+                    len(blk)
+                ):
+                    mem.evict_block(mem.lru_block())
+                mem.load(blk)
+            elif mem.is_resident(blk.block_id):
+                mem.evict_block(blk.block_id)
+            else:
+                with pytest.raises(PagingError):
+                    mem.evict_block(blk.block_id)
+
+            resident = [mem.resident_block(b) for b in mem.resident_blocks()]
+            for v in range(10):
+                holders = [b.block_id for b in resident if v in b.vertices]
+                assert mem.copies_of(v) == len(mem.covering_blocks(v))
+                assert sorted(mem.covering_blocks(v)) == sorted(holders)
+                assert mem.covers(v) == bool(holders)
+            covered = set().union(*(b.vertices for b in resident))
+            assert mem.covered_vertices() == covered
+            assert mem.covered_count == len(mem.covered_vertices())
+            assert mem.occupancy == sum(len(b) for b in resident)
 
 
 class TestStrongMemory:
