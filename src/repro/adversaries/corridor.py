@@ -50,6 +50,9 @@ class _CorridorBase(Adversary):
         # the pathfront; scan a little farther for safety.
         cross_cells = max(width ** (dim - 1), 1)
         self._horizon = memory_size // cross_cells + block_size + 4
+        # Cross-section positions in scan order, fixed for the corridor.
+        cross_ranges = (range(b, b + width) for b in self._base[1:])
+        self._cross = tuple(itertools.product(*cross_ranges))
         self._target: Coord | None = None
         self._seen_faults = -1
 
@@ -64,27 +67,23 @@ class _CorridorBase(Adversary):
     def start(self, view: MemoryView) -> Vertex:
         return self._base
 
-    def _cross_ranges(self):
-        return [
-            range(self._base[i], self._base[i] + self._width)
-            for i in range(1, self._dim)
-        ]
-
     def _find_target(self, pathfront: Coord, view: MemoryView) -> Coord:
         """The uncovered corridor cell with the smallest first
         coordinate >= the pathfront's (ties: nearest cross-section
         position). The proofs' "increase t_1 the minimum amount"."""
         x0 = pathfront[0]
+        front = pathfront[1:]
+        covers = view.covers
         for x in range(x0, x0 + self._horizon):
             best: Coord | None = None
-            best_key: tuple[int, ...] | None = None
-            for cross in itertools.product(*self._cross_ranges()):
+            best_dist = 0
+            for cross in self._cross:
                 cell = (x,) + cross
-                if not view.covers(cell):
-                    key = tuple(abs(c - p) for c, p in zip(cross, pathfront[1:]))
-                    if best_key is None or sum(key) < sum(best_key):
+                if not covers(cell):
+                    dist = sum(abs(c - p) for c, p in zip(cross, front))
+                    if best is None or dist < best_dist:
                         best = cell
-                        best_key = key
+                        best_dist = dist
             if best is not None:
                 return best
         raise AdversaryError(

@@ -78,9 +78,9 @@ class MemoryView:
 
     @property
     def covered_count(self) -> int:
-        """Number of distinct covered vertices (O(1): the memory keeps
-        the count incrementally, so adversaries may poll it per move
-        without materializing the covered set)."""
+        """Number of distinct covered vertices. Not O(1) in the weak
+        model (a union over the resident blocks), so avoid polling it
+        per move."""
         return self._memory.covered_count
 
     @property

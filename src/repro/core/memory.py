@@ -6,12 +6,12 @@ is resident; an uncovered pathfront triggers a page fault.
 
 Two flushing disciplines:
 
-* :class:`WeakMemory` — contents are tracked block-by-block and may
-  only be freed a whole block at a time (the paper's weak model; all of
-  its algorithms run here). Recency is tracked per block: a block is
-  "used" when it is loaded and whenever the pathfront touches one of
-  its resident vertices, so LRU eviction matches the proofs' "retain
-  the block we are walking in" behaviour.
+* :class:`WeakMemory` — filled and flushed a whole block at a time
+  (the paper's weak model; all of its algorithms run here), so its
+  state is per resident block, never per vertex. A block is "used"
+  when it is loaded and whenever the pathfront touches one of its
+  resident vertices, so LRU eviction matches the proofs' "retain the
+  block we are walking in" behaviour.
 * :class:`StrongMemory` — copies are individually evictable (the
   paper's strong model, used by its upper bounds). Copies are tracked
   in arrival order.
@@ -64,9 +64,9 @@ class Memory(abc.ABC):
     @property
     @abc.abstractmethod
     def covered_count(self) -> int:
-        """Number of distinct covered vertices, O(1) — unlike
-        materializing :meth:`covered_vertices` (which adversaries query
-        every move)."""
+        """Number of distinct covered vertices. O(1) in the strong
+        model; the weak model unions its resident blocks' vertex sets
+        (O(M)), so read it once per use."""
 
     def room_for(self, size: int) -> bool:
         return self._occupancy + size <= self.capacity
@@ -84,7 +84,7 @@ class Memory(abc.ABC):
         at ``vertex`` if it is covered, and report whether it was.
 
         The engine's per-step primitive — subclasses override it to
-        answer with a single index lookup instead of two.
+        answer in one lookup pass instead of two.
         """
         if self.covers(vertex):
             self.touch(vertex)
@@ -93,10 +93,17 @@ class Memory(abc.ABC):
 
 
 class WeakMemory(Memory):
-    """Block-granular memory (the paper's weak model)."""
+    """Block-granular memory (the paper's weak model).
+
+    ``load`` and ``evict_block`` are O(1); a vertex query probes each
+    resident block's vertex set in load order (at most ``M / B`` of
+    them when blocks are full).
+    """
 
     def __init__(self, params: ModelParams) -> None:
         super().__init__(params)
+        # Resident blocks in load order: a vertex's holders come out in
+        # this order (never hash order), which is also their tick order.
         self._resident: dict[BlockId, Block] = {}
         # LRU clock: _recency[bid] is the tick of the block's last use.
         # The dict is additionally kept in *use order* (every tick
@@ -104,28 +111,22 @@ class WeakMemory(Memory):
         # no sort is ever needed to find an eviction victim.
         self._recency: dict[BlockId, int] = {}
         self._clock = 0
-        # vertex -> resident block ids containing it: the one coverage
-        # index. A block holds each vertex at most once (its vertices
-        # are a frozenset), so len(_where[v]) is v's copy count and a
-        # vertex is covered iff it is a key. Inner dicts (value None)
-        # double as insertion-ordered sets, so tick order over a
-        # vertex's holders is load order — stable across processes,
-        # unlike set iteration, whose hash order made multi-holder
-        # traces depend on PYTHONHASHSEED.
-        self._where: dict[Vertex, dict[BlockId, None]] = {}
 
     def covers(self, vertex: Vertex) -> bool:
-        return vertex in self._where
+        for block in self._resident.values():
+            if vertex in block.vertices:
+                return True
+        return False
 
     def copies_of(self, vertex: Vertex) -> int:
-        return len(self._where.get(vertex, ()))
+        return sum(vertex in block.vertices for block in self._resident.values())
 
     def covered_vertices(self) -> set[Vertex]:
-        return set(self._where)
+        return set().union(*(block.vertices for block in self._resident.values()))
 
     @property
     def covered_count(self) -> int:
-        return len(self._where)
+        return len(self.covered_vertices())
 
     def resident_blocks(self) -> tuple[BlockId, ...]:
         return tuple(self._resident)
@@ -145,13 +146,6 @@ class WeakMemory(Memory):
         block_id = block.block_id
         self._resident[block_id] = block
         self._occupancy += len(block)
-        where = self._where
-        for v in block.vertices:
-            holders = where.get(v)
-            if holders is None:
-                where[v] = {block_id: None}
-            else:
-                holders[block_id] = None
         self._tick(block_id)
 
     def evict_block(self, block_id: BlockId) -> None:
@@ -159,44 +153,41 @@ class WeakMemory(Memory):
         block = self._resident.pop(block_id, None)
         if block is None:
             raise PagingError(f"block {block_id!r} is not resident")
-        self._recency.pop(block_id, None)
+        del self._recency[block_id]
         self._occupancy -= len(block)
-        where = self._where
-        for v in block.vertices:
-            holders = where[v]
-            del holders[block_id]
-            if not holders:
-                del where[v]
 
     def covering_blocks(self, vertex: Vertex) -> tuple[BlockId, ...]:
-        """Ids of the resident blocks holding a copy of ``vertex``.
+        """Ids of the resident blocks holding a copy of ``vertex``, in
+        load order.
 
         Empty when the vertex is uncovered. With a redundant blocking
         (``s > 1``) this is how many replicas of the vertex are
         currently in memory — the quantity the reliability layer's
         replica fallback ultimately feeds.
         """
-        return tuple(self._where.get(vertex, ()))
+        return tuple(
+            block_id
+            for block_id, block in self._resident.items()
+            if vertex in block.vertices
+        )
 
     def touch(self, vertex: Vertex) -> None:
-        # Hot path: iterate the index directly, no tuple allocation.
-        for block_id in self._where.get(vertex, ()):
-            self._tick(block_id)
+        for block_id, block in self._resident.items():
+            if vertex in block.vertices:
+                self._tick(block_id)
 
     def visit(self, vertex: Vertex) -> bool:
-        # Hot path: one index lookup answers coverage, and the holders
-        # it yields are exactly the blocks to tick — the engine calls
-        # this once per path step.
-        holders = self._where.get(vertex)
-        if not holders:
-            return False
+        # Hot path, once per path step: one pass over the resident
+        # blocks answers coverage and ticks every holder in load order.
         clock = self._clock
         recency = self._recency
-        pop = recency.pop
-        for block_id in holders:
-            clock += 1
-            pop(block_id, None)
-            recency[block_id] = clock
+        for block_id, block in self._resident.items():
+            if vertex in block.vertices:
+                clock += 1
+                del recency[block_id]
+                recency[block_id] = clock
+        if clock == self._clock:
+            return False
         self._clock = clock
         return True
 

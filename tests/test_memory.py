@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ModelParams, PagingError, PagingModel, StrongMemory, WeakMemory
-from repro.core.block import make_block
+from repro.core.block import Block, make_block
 from repro.core.memory import make_memory
 
 
@@ -115,51 +115,134 @@ class TestWeakMemory:
         assert mem.lru_block() == "b"
 
 
+class HolderIndexModel:
+    """Reference weak memory built on a per-vertex holder index.
+
+    Deliberately naive and independent of :class:`WeakMemory`, which
+    keeps no per-vertex state: every vertex maps to the list of
+    resident blocks holding it, appended in load order; recency is a
+    plain list, least recently used first, and every use of a block is
+    one clock tick. A visit ticks each holder of the vertex in that
+    list's order.
+    """
+
+    def __init__(self, params: ModelParams) -> None:
+        self.capacity = params.memory_size
+        self.resident: dict = {}
+        self.holders: dict = {}
+        self.lru: list = []
+        self.last: dict = {}
+        self.clock = 0
+        self.occupancy = 0
+
+    def load(self, blk: Block) -> None:
+        if blk.block_id in self.resident:
+            self.tick(blk.block_id)
+            return
+        if self.occupancy + len(blk) > self.capacity:
+            raise PagingError("over capacity")
+        self.resident[blk.block_id] = blk
+        self.occupancy += len(blk)
+        for v in blk.vertices:
+            self.holders.setdefault(v, []).append(blk.block_id)
+        self.tick(blk.block_id)
+
+    def evict_block(self, block_id) -> None:
+        if block_id not in self.resident:
+            raise PagingError("not resident")
+        blk = self.resident.pop(block_id)
+        self.occupancy -= len(blk)
+        for v in blk.vertices:
+            self.holders[v].remove(block_id)
+            if not self.holders[v]:
+                del self.holders[v]
+        self.lru.remove(block_id)
+        del self.last[block_id]
+
+    def tick(self, block_id) -> None:
+        self.clock += 1
+        if block_id in self.lru:
+            self.lru.remove(block_id)
+        self.lru.append(block_id)
+        self.last[block_id] = self.clock
+
+    def touch(self, vertex) -> None:
+        for block_id in list(self.holders.get(vertex, [])):
+            self.tick(block_id)
+
+    def visit(self, vertex) -> bool:
+        covered = vertex in self.holders
+        self.touch(vertex)
+        return covered
+
+
 # A handful of small blocks over ten vertices, so blocks overlap often.
 _block_pools = st.lists(
     st.frozensets(st.integers(0, 9), min_size=1, max_size=4),
     min_size=1,
     max_size=6,
 )
-# (load?, which block) pairs; indices wrap around the pool.
-_load_evict_ops = st.lists(
-    st.tuples(st.booleans(), st.integers(0, 5)), max_size=60
+_memory_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "evict", "visit", "touch"]),
+        st.integers(0, 9),
+    ),
+    max_size=80,
 )
 
 
-class TestWeakMemoryIndex:
-    """The weak model answers coverage from its one vertex -> holders
-    index; it must agree with the resident blocks themselves."""
+def _same_outcome(call, reference, arg) -> None:
+    """Apply one operation to both memories: either both accept it or
+    both raise PagingError."""
+    try:
+        reference(arg)
+    except PagingError:
+        with pytest.raises(PagingError):
+            call(arg)
+    else:
+        call(arg)
 
-    @settings(max_examples=200, deadline=None)
-    @given(pool=_block_pools, ops=_load_evict_ops)
-    def test_index_matches_resident_blocks(self, pool, ops):
-        mem = WeakMemory(ModelParams(4, 12))
-        blocks = [make_block(i, vertices, 4) for i, vertices in enumerate(pool)]
-        for load, pick in ops:
-            blk = blocks[pick % len(blocks)]
-            if load:
-                while not mem.is_resident(blk.block_id) and not mem.room_for(
-                    len(blk)
-                ):
-                    mem.evict_block(mem.lru_block())
-                mem.load(blk)
-            elif mem.is_resident(blk.block_id):
-                mem.evict_block(blk.block_id)
+
+class TestWeakMemoryReference:
+    """Differential test: WeakMemory against the holder-index model,
+    including holder order and the exact clock ticks it implies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=_block_pools, ops=_memory_ops, capacity=st.sampled_from([4, 8, 12])
+    )
+    def test_matches_holder_index_model(self, pool, ops, capacity):
+        params = ModelParams(4, capacity)
+        mem = WeakMemory(params)
+        model = HolderIndexModel(params)
+        blocks = [Block(i, vertices) for i, vertices in enumerate(pool)]
+        for op, arg in ops:
+            if op == "load":
+                blk = blocks[arg % len(blocks)]
+                _same_outcome(mem.load, model.load, blk)
+            elif op == "evict":
+                block_id = arg % len(blocks)
+                _same_outcome(mem.evict_block, model.evict_block, block_id)
+            elif op == "visit":
+                assert mem.visit(arg) == model.visit(arg)
             else:
-                with pytest.raises(PagingError):
-                    mem.evict_block(blk.block_id)
+                mem.touch(arg)
+                model.touch(arg)
 
-            resident = [mem.resident_block(b) for b in mem.resident_blocks()]
+            assert mem.clock == model.clock
+            assert mem.lru_order() == model.lru
+            assert mem.lru_block() == (model.lru[0] if model.lru else None)
+            for block_id in mem.resident_blocks():
+                assert mem.last_used(block_id) == model.last[block_id]
+            assert mem.resident_blocks() == tuple(model.resident)
+            assert mem.occupancy == model.occupancy
             for v in range(10):
-                holders = [b.block_id for b in resident if v in b.vertices]
-                assert mem.copies_of(v) == len(mem.covering_blocks(v))
-                assert sorted(mem.covering_blocks(v)) == sorted(holders)
+                holders = tuple(model.holders.get(v, ()))
+                assert mem.covering_blocks(v) == holders
                 assert mem.covers(v) == bool(holders)
-            covered = set().union(*(b.vertices for b in resident))
-            assert mem.covered_vertices() == covered
-            assert mem.covered_count == len(mem.covered_vertices())
-            assert mem.occupancy == sum(len(b) for b in resident)
+                assert mem.copies_of(v) == len(holders)
+            assert mem.covered_vertices() == set(model.holders)
+            assert mem.covered_count == len(model.holders)
 
 
 class TestStrongMemory:

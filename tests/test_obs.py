@@ -10,8 +10,10 @@ The load-bearing invariants:
   snapshot;
 * the legacy ``Searcher(on_fault=...)`` callback keeps working, now
   routed through the hook layer;
-* ``Memory.covered_count`` (the O(1) working-set size the hooks
-  sample) always agrees with ``len(covered_vertices())``.
+* ``Memory.covered_count`` (the working-set size the hooks sample:
+  a running count in the strong model, a union over the resident
+  blocks in the weak one) always agrees with
+  ``len(covered_vertices())``.
 """
 
 from __future__ import annotations
