@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.analysis.theory import integer_root
 from repro.core.engine import Adversary, MemoryView
 from repro.errors import AdversaryError
 from repro.graphs.base import Graph
@@ -23,7 +24,17 @@ from repro.typing import Coord, Vertex
 
 
 class _CorridorBase(Adversary):
-    """Shared target-scanning machinery of both corridor adversaries."""
+    """Shared target-scanning machinery of both corridor adversaries.
+
+    A target search takes one coverage snapshot
+    (:meth:`MemoryView.covered_vertices`) and walks the columns
+    ``x0, x0 + 1, ...`` ahead of the pathfront. Within a column it
+    visits the cross-section positions nearest-first — a stable sort of
+    the scan order by L1 distance to the front's cross position, so
+    ties keep scan order — and returns the first one the snapshot lacks.
+    Those orders are pure geometry: memoized per front position (at
+    most ``width^(d-1)`` of them) and kept across :meth:`reset`.
+    """
 
     def __init__(
         self,
@@ -35,9 +46,11 @@ class _CorridorBase(Adversary):
     ) -> None:
         if dim < 1:
             raise AdversaryError(f"dim must be >= 1, got {dim}")
+        if block_size < 1:
+            raise AdversaryError(f"block size must be >= 1, got {block_size}")
         self._dim = dim
         if width is None:
-            width = _floor_root(block_size, dim)
+            width = integer_root(block_size, dim)
         if width < 1:
             raise AdversaryError(f"corridor width must be >= 1, got {width}")
         self._width = width
@@ -53,6 +66,7 @@ class _CorridorBase(Adversary):
         # Cross-section positions in scan order, fixed for the corridor.
         cross_ranges = (range(b, b + width) for b in self._base[1:])
         self._cross = tuple(itertools.product(*cross_ranges))
+        self._nearest_first: dict[Coord, tuple[Coord, ...]] = {}
         self._target: Coord | None = None
         self._seen_faults = -1
 
@@ -70,22 +84,25 @@ class _CorridorBase(Adversary):
     def _find_target(self, pathfront: Coord, view: MemoryView) -> Coord:
         """The uncovered corridor cell with the smallest first
         coordinate >= the pathfront's (ties: nearest cross-section
-        position). The proofs' "increase t_1 the minimum amount"."""
-        x0 = pathfront[0]
+        position, then scan order). The proofs' "increase t_1 the
+        minimum amount"."""
         front = pathfront[1:]
-        covers = view.covers
+        order = self._nearest_first.get(front)
+        if order is None:
+            order = tuple(
+                sorted(
+                    self._cross,
+                    key=lambda cross: sum(abs(c - p) for c, p in zip(cross, front)),
+                )
+            )
+            self._nearest_first[front] = order
+        covered = view.covered_vertices()
+        x0 = pathfront[0]
         for x in range(x0, x0 + self._horizon):
-            best: Coord | None = None
-            best_dist = 0
-            for cross in self._cross:
+            for cross in order:
                 cell = (x,) + cross
-                if not covers(cell):
-                    dist = sum(abs(c - p) for c, p in zip(cross, front))
-                    if best is None or dist < best_dist:
-                        best = cell
-                        best_dist = dist
-            if best is not None:
-                return best
+                if cell not in covered:
+                    return cell
         raise AdversaryError(
             f"no uncovered corridor cell within {self._horizon} columns — "
             "is memory larger than the whole corridor window?"
@@ -154,11 +171,3 @@ def _sign(x: int) -> int:
         return -1
     return 0
 
-
-def _floor_root(value: int, degree: int) -> int:
-    root = int(round(value ** (1.0 / degree)))
-    while root ** degree > value:
-        root -= 1
-    while (root + 1) ** degree <= value:
-        root += 1
-    return max(root, 1)

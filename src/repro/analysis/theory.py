@@ -41,6 +41,25 @@ def smallest_prime_at_least(n: int) -> int:
         candidate += 1
 
 
+def integer_root(value: int, degree: int) -> int:
+    """``floor(value ** (1/degree))`` computed exactly, for ``value >= 1``.
+
+    The block side ``floor(B^(1/d))`` of the grid blockings, the sheared
+    tessellations and the corridor adversaries. Integer Newton iteration
+    from an upper bound, so no float rounding can make it off by one.
+    """
+    if value < 1 or degree < 1:
+        raise AnalysisError(
+            f"integer_root needs value >= 1 and degree >= 1, got {value}, {degree}"
+        )
+    root = 1 << -(-value.bit_length() // degree)
+    while True:
+        below = ((degree - 1) * root + value // root ** (degree - 1)) // degree
+        if below >= root:
+            return root
+        root = below
+
+
 # ---------------------------------------------------------------------------
 # Example 1: k-radii of complete d-ary trees.
 # ---------------------------------------------------------------------------

@@ -10,10 +10,18 @@
   guaranteeing ``sigma >= lg B / (2 lg d)``.
 
 Both are implicit: a block is identified by its root vertex, and
-membership is depth arithmetic on the heap indices.
+membership is depth arithmetic on the heap indices. Heap order is also
+what makes a block cheap to build: the ``j``-th level below a root
+``r`` is the contiguous index run ``[r d^j + (d^j - 1)/(d - 1),
+(r + 1) d^j + (d^j - 1)/(d - 1) - 1]``, so a ``k``-level block is ``k``
+ranges (each the previous one's ``[d lo + 1, d hi + d]``), never a
+per-vertex ``children()`` walk — the blocked tree layout of
+path-traversal work on external-memory trees.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from repro.blockings.union import UnionBlocking
 from repro.core.blocking import ImplicitBlocking
@@ -85,10 +93,11 @@ class TreeStrataBlocking(ImplicitBlocking):
         return self._offset + ((depth - self._offset) // self._levels) * self._levels
 
     def _block_levels(self, start: int) -> int:
-        """How many levels the block starting at ``start`` spans."""
-        if start == 0 and self._offset > 0:
-            return self._offset
-        return min(self._levels, self._tree.height - start + 1)
+        """How many levels the block starting at ``start`` spans, cut
+        short at the leaves (the partial top block too, on a tree
+        shorter than ``offset``)."""
+        span = self._offset if start == 0 and self._offset > 0 else self._levels
+        return min(span, self._tree.height - start + 1)
 
     def blocks_for(self, vertex: Vertex) -> tuple[BlockId, ...]:
         depth = self._tree.depth(vertex)
@@ -102,16 +111,15 @@ class TreeStrataBlocking(ImplicitBlocking):
         start = tree.depth(block_id)
         if start != self._stratum_start(start):
             raise BlockingError(f"{block_id!r} is not a stratum root")
-        levels = self._block_levels(start)
-        members = [block_id]
-        frontier = [block_id]
-        for _ in range(levels - 1):
-            nxt: list[int] = []
-            for v in frontier:
-                nxt.extend(tree.children(v))
-            members.extend(nxt)
-            frontier = nxt
-        return frozenset(members)
+        # Heap order stores each level of the subtree as one contiguous
+        # index run: level j below the root spans [d*lo + 1, d*hi + d].
+        d = tree.arity
+        ranges: list[range] = []
+        lo = hi = block_id
+        for _ in range(self._block_levels(start)):
+            ranges.append(range(lo, hi + 1))
+            lo, hi = d * lo + 1, d * hi + d
+        return frozenset(chain.from_iterable(ranges))
 
     def interior_distance(self, block_id: BlockId, vertex: Vertex) -> float:
         """Steps from ``vertex`` to the nearest vertex outside its

@@ -57,6 +57,11 @@ class MemoryView:
     bounds are worst case over paths, so the path generator may exploit
     full knowledge); exposing coverage queries plus the fault count is
     enough for every adversary in the paper.
+
+    ``covers`` answers one vertex; ``covered_vertices`` answers them all
+    at once for an O(M) union, which pays off when a scan would
+    otherwise probe many vertices against an unchanged memory (the
+    corridor adversaries' target search).
     """
 
     def __init__(self, memory: Memory, trace: SearchTrace) -> None:
@@ -70,6 +75,12 @@ class MemoryView:
     def uncovered(self, vertex: Vertex) -> bool:
         """Convenience negation, handy as a BFS predicate."""
         return not self._memory.covers(vertex)
+
+    def covered_vertices(self) -> set[Vertex]:
+        """A snapshot of every covered vertex. O(M) — a union over the
+        resident blocks in the weak model — so take it once per scan
+        and test membership in it, rather than once per probe."""
+        return self._memory.covered_vertices()
 
     @property
     def fault_count(self) -> int:

@@ -22,7 +22,8 @@ turns those one-shot artifacts into a *trajectory* and watches it:
 The CLI gates: ``python -m repro.obs.benchwatch BENCH_*.json`` checks
 each rollup against the history, appends the new observations, and
 exits nonzero if anything regressed. Deliberately clock-free — run
-identity comes from ``--label`` (CI passes the commit SHA), and
+identity comes from ``--label`` (CI passes the commit SHA; an append
+without one is refused, so every record names its run), and
 ordering is the journal's append order — so the sentinel itself stays
 inside the repository's no-wall-clock lint rule.
 """
@@ -169,7 +170,13 @@ def append_run(
 ) -> dict[str, Any]:
     """Append one rollup's observations to the history journal
     (crash-atomically, preserving all prior records) and return the
-    appended record."""
+    appended record. Every record must say which run it came from, so
+    an append without a label is refused."""
+    if not label:
+        raise BenchWatchError(
+            f"refusing to append {payload.get('bench')!r} to {history_path} "
+            "without a label (the run identity, e.g. a git SHA)"
+        )
     from repro.cache import atomic_write_text
 
     records = load_history(history_path)
@@ -388,7 +395,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--label",
         default=None,
         metavar="ID",
-        help="run identity recorded with the observations (e.g. a git SHA)",
+        help="run identity recorded with the observations (e.g. a git SHA); "
+        "required unless --no-append",
     )
     parser.add_argument(
         "--window",
@@ -435,6 +443,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"slowdown always trips the gate; got {args.tolerance}"
         )
 
+    if not args.no_append and not args.label:
+        raise BenchWatchError(
+            "appending to the history needs --label ID (e.g. a git SHA); "
+            "pass --no-append to judge only"
+        )
     history = load_history(args.history)
     all_verdicts: list[Verdict] = []
     for rollup_path in args.rollups:

@@ -1,11 +1,17 @@
 """Adversarial walkers: each realizes its lemma's upper bound."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AdversaryError,
     FirstBlockPolicy,
     ModelParams,
+    SearchTrace,
+    WeakMemory,
     simulate_adversary,
 )
 from repro.adversaries import (
@@ -32,6 +38,8 @@ from repro.blockings import (
     sheared_grid_blocking,
     uniform_grid_blocking,
 )
+from repro.core.block import Block
+from repro.core.engine import MemoryView
 from repro.graphs import (
     CompleteTree,
     InfiniteDiagonalGridGraph,
@@ -187,6 +195,115 @@ class TestCorridor:
     def test_invalid_width(self):
         with pytest.raises(AdversaryError):
             GridCorridorAdversary(2, 16, 32, width=0)
+
+    @pytest.mark.parametrize("dim, block_size", [(2, 0), (3, -5), (1, -1)])
+    def test_invalid_block_size(self, dim, block_size):
+        """B < 1 is refused outright: B=0 used to yield a silent width-1
+        corridor and a negative B a complex-number TypeError."""
+        with pytest.raises(AdversaryError, match="block size"):
+            GridCorridorAdversary(dim, block_size, 32)
+        with pytest.raises(AdversaryError, match="block size"):
+            DiagonalCorridorAdversary(dim, block_size, 32)
+
+    def test_width_is_floor_root(self):
+        assert GridCorridorAdversary(2, 63, 128).width == 7
+        assert GridCorridorAdversary(2, 64, 128).width == 8
+        assert GridCorridorAdversary(3, 26, 64).width == 2
+        assert GridCorridorAdversary(5, 1024, 2048).width == 4
+        assert DiagonalCorridorAdversary(1, 5, 10).width == 5
+
+
+def _reference_target(dim, width, base, horizon, pathfront, view):
+    """The corridor target as a per-cell probe loop: every cell through
+    ``view.covers``, cross positions in scan order, and the first
+    strictly nearer one wins."""
+    cross_cells = list(
+        itertools.product(*(range(b, b + width) for b in base[1:]))
+    )
+    x0, front = pathfront[0], pathfront[1:]
+    for x in range(x0, x0 + horizon):
+        best, best_dist = None, 0
+        for cross in cross_cells:
+            cell = (x,) + cross
+            if not view.covers(cell):
+                dist = sum(abs(c - p) for c, p in zip(cross, front))
+                if best is None or dist < best_dist:
+                    best, best_dist = cell, dist
+        if best is not None:
+            return best
+    raise AdversaryError(
+        f"no uncovered corridor cell within {horizon} columns — "
+        "is memory larger than the whole corridor window?"
+    )
+
+
+_CORRIDOR_CASES = [
+    (GridCorridorAdversary, 1),
+    (GridCorridorAdversary, 2),
+    (GridCorridorAdversary, 3),
+    (GridCorridorAdversary, 5),
+    (DiagonalCorridorAdversary, 2),
+    (DiagonalCorridorAdversary, 3),
+]
+
+
+@st.composite
+def corridor_scenarios(draw):
+    cls, dim = draw(st.sampled_from(_CORRIDOR_CASES))
+    width = draw(st.integers(1, {1: 6, 2: 4, 3: 3, 5: 2}[dim]))
+    block_size = draw(st.integers(width**dim, (width + 1) ** dim - 1))
+    memory_size = draw(st.integers(block_size, 3 * block_size))
+    base = tuple(draw(st.integers(-5, 5)) for _ in range(dim))
+    horizon = memory_size // width ** (dim - 1) + block_size + 4
+    x0 = base[0] + draw(st.integers(-3, 3))
+    pathfront = (x0,) + tuple(
+        b + draw(st.integers(0, width - 1)) for b in base[1:]
+    )
+
+    def span(lo, start_hi, hi):
+        a = draw(st.integers(lo, start_hi))
+        return range(a, draw(st.integers(a, hi)) + 1)
+
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        # Boxes start near the front, so the first uncovered column is
+        # often partly covered and the nearest-position tie-break matters.
+        xs = span(x0 - 2, x0 + 3, x0 + horizon + 1)
+        cross = [span(b, b + width - 1, b + width - 1) for b in base[1:]]
+        boxes.append(frozenset(itertools.product(xs, *cross)))
+    if draw(st.booleans()):
+        # Sometimes the whole scanned window is covered: no target.
+        window = [range(x0, x0 + horizon)]
+        window += [range(b, b + width) for b in base[1:]]
+        boxes.append(frozenset(itertools.product(*window)))
+    return cls, dim, width, block_size, memory_size, base, horizon, pathfront, boxes
+
+
+class TestCorridorTarget:
+    @settings(max_examples=300, deadline=None)
+    @given(corridor_scenarios())
+    def test_matches_per_cell_probe_reference(self, scenario):
+        """One coverage snapshot scanned nearest-first finds the same
+        target as probing every cell, ties in scan order included."""
+        cls, dim, width, B, M, base, horizon, pathfront, boxes = scenario
+        adv = cls(dim, B, M, base=base)
+        assert adv.width == width
+        occupancy = sum(len(box) for box in boxes)
+        memory = WeakMemory(ModelParams(1, max(occupancy, 1)))
+        for i, box in enumerate(boxes):
+            memory.load(Block(i, box))
+        view = MemoryView(memory, SearchTrace())
+        try:
+            expected = _reference_target(dim, width, base, horizon, pathfront, view)
+        except AdversaryError as exc:
+            with pytest.raises(AdversaryError) as raised:
+                adv._find_target(pathfront, view)
+            assert str(raised.value) == str(exc)
+            return
+        assert adv._find_target(pathfront, view) == expected
+        # The memoized nearest-first order survives reset and still agrees.
+        adv.reset()
+        assert adv._find_target(pathfront, view) == expected
 
 
 class TestRootLeaf:

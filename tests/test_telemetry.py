@@ -20,6 +20,7 @@ Three layers under test:
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -323,7 +324,10 @@ class TestBenchwatch:
         assert v.allowed_s < 0.2  # tolerance + noise cap stays below 2x
         rollup_path = tmp_path / "BENCH_demo.json"
         rollup_path.write_text(json.dumps(_rollup(0.2)))
-        assert main([str(rollup_path), "--history", str(history)]) == 1
+        assert (
+            main([str(rollup_path), "--history", str(history), "--label", "slow"])
+            == 1
+        )
 
     def test_unmodified_run_passes_and_appends(self, tmp_path):
         from repro.obs.benchwatch import load_history, main
@@ -341,6 +345,42 @@ class TestBenchwatch:
         records = load_history(history)
         assert len(records) == 4
         assert records[-1]["label"] == "sha"
+
+    def test_refuses_unlabeled_append(self, tmp_path):
+        """Every history record names its run: an append without a
+        label fails, from the library, the CLI and the bench conftest,
+        and leaves the journal as it was."""
+        from repro.obs.benchwatch import BenchWatchError, append_run, main
+
+        history = tmp_path / "h.jsonl"
+        self._seed_history(history)
+        before = history.read_bytes()
+        for label in (None, ""):
+            with pytest.raises(BenchWatchError, match="label"):
+                append_run(history, _rollup(0.1), label=label)
+        rollup_path = tmp_path / "BENCH_demo.json"
+        rollup_path.write_text(json.dumps(_rollup(0.1)))
+        with pytest.raises(BenchWatchError, match="--label"):
+            main([str(rollup_path), "--history", str(history)])
+        assert history.read_bytes() == before
+        # Judging alone needs no label.
+        assert main([str(rollup_path), "--history", str(history), "--no-append"]) == 0
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--collect-only", "benchmarks/bench_service.py"],
+            cwd=str(root),
+            env={
+                "PATH": os.environ.get("PATH", ""),
+                "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+                "BENCH_HISTORY": str(history),
+            },
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode != 0
+        assert "BENCH_LABEL" in proc.stdout + proc.stderr
+        assert history.read_bytes() == before
 
     def test_noise_widens_the_envelope_but_is_capped(self):
         from repro.obs.benchwatch import judge
@@ -427,7 +467,10 @@ class TestBenchwatch:
         rollup_path.write_text(json.dumps(_rollup(0.1)))
         assert (
             main(
-                [str(rollup_path), "--history", str(history), "--prune", "4"]
+                [
+                    str(rollup_path), "--history", str(history),
+                    "--label", "run-6", "--prune", "4",
+                ]
             )
             == 0
         )

@@ -22,6 +22,32 @@ class TestPrimes:
             assert n <= theory.smallest_prime_at_least(n) < 2 * n
 
 
+class TestIntegerRoot:
+    def test_floor_root_for_every_small_block_size(self):
+        """The one exact root behind the grid block side, the sheared
+        tessellation side and the corridor width."""
+        from repro.adversaries import GridCorridorAdversary
+        from repro.blockings import grid_block_side
+
+        for d in range(1, 7):
+            for B in range(1, 20_000):
+                root = theory.integer_root(B, d)
+                assert root**d <= B < (root + 1) ** d
+                assert grid_block_side(B, d) == root
+            for B in range(1, 20_000, 97):
+                assert GridCorridorAdversary(d, B, B).width == grid_block_side(B, d)
+
+    def test_exact_beyond_float_precision(self):
+        assert theory.integer_root(10**60, 3) == 10**20
+        assert theory.integer_root(10**60 - 1, 3) == 10**20 - 1
+        assert theory.integer_root(2**400, 2) == 2**200
+
+    @pytest.mark.parametrize("value, degree", [(0, 2), (-5, 3), (8, 0)])
+    def test_invalid(self, value, degree):
+        with pytest.raises(AnalysisError):
+            theory.integer_root(value, degree)
+
+
 class TestGridVolumes:
     def test_matches_brute_force(self):
         """The recurrence equals a brute-force lattice count."""

@@ -108,6 +108,51 @@ class TestStrataBlocking:
             blocking.block(1)  # depth 1 is not a stratum root
 
 
+def _reference_block(tree, root, levels, offset):
+    """A stratum root's block by walking ``children()`` down to the
+    next stratum boundary (or the leaves)."""
+    start = tree.depth(root)
+    boundary = offset if start == 0 and offset > 0 else start + levels
+    members, frontier = {root}, [root]
+    while frontier:
+        frontier = [
+            c for v in frontier for c in tree.children(v)
+            if tree.depth(c) < boundary
+        ]
+        members.update(frontier)
+    return members
+
+
+class TestMaterializeFromHeapRanges:
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("height", [0, 1, 4, 5])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_matches_children_walk(self, arity, height, levels):
+        """Every stratum root's block, for every offset — the partial
+        top block (offset > 0) and bottom blocks cut short at the leaves
+        included — equals the children() walk."""
+        tree = CompleteTree(arity, height)
+        block_size = (arity**levels - 1) // (arity - 1)
+        for offset in range(levels):
+            blocking = TreeStrataBlocking(tree, block_size, levels, offset)
+            starts = {0} | set(range(offset or levels, height + 1, levels))
+            roots = [v for v in tree.vertices() if tree.depth(v) in starts]
+            covered = set()
+            for root in roots:
+                vertices = blocking.block(root).vertices
+                assert vertices == _reference_block(tree, root, levels, offset)
+                covered |= vertices
+            assert covered == set(tree.vertices())
+
+    def test_unknown_root_rejected(self):
+        tree = CompleteTree(3, 3)
+        blocking = TreeStrataBlocking(tree, 13, levels=3)
+        with pytest.raises(BlockingError, match="unknown block root"):
+            blocking.block(tree.size)
+        with pytest.raises(BlockingError, match="not a stratum root"):
+            blocking.block(1)
+
+
 class TestNaive:
     def test_blowup_1(self):
         tree = CompleteTree(2, 8)
